@@ -1,5 +1,5 @@
-/// Ablations for the design choices DESIGN.md calls out (not a paper figure;
-/// complements §6):
+/// Ablations for four of the engine's design choices (not a paper figure;
+/// complements §6; see the figure map in docs/benchmarks.md):
 ///   (a) GPGPU pipeline depth — Fig. 6's five-stage pipelining vs a
 ///       depth-1 (serialized) pipeline;
 ///   (b) HLS lookahead — Alg. 1's delay-based stealing vs lookahead 1

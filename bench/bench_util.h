@@ -14,8 +14,8 @@
 /// Shared harness for the figure-reproduction benchmarks. Each bench binary
 /// regenerates one table/figure of §6: it sweeps the paper's parameter,
 /// feeds generated streams through the engine (or a baseline), and prints
-/// the measured series in a paper-style table. EXPERIMENTS.md records the
-/// measured shapes against the published ones.
+/// the measured series in a paper-style table. docs/benchmarks.md maps each
+/// binary to the figure it regenerates.
 
 namespace saber::bench {
 

@@ -121,7 +121,7 @@ int main() {
     }
     {
       // LRB2 substitutes the paper's partition window with a self-join
-      // (DESIGN.md); the join scans the full 30 s window per element, so it
+      // (workloads/linear_road.h); the join scans the full 30 s window per element, so it
       // runs on a proportionally scaled slice.
       lrb::RoadOptions r2 = r;
       r2.reports_per_second = 4'000;

@@ -9,6 +9,7 @@
 #include "fault/fault_registry.h"
 #include "ingest/ingress_options.h"
 #include "ingest/sharded_ingress.h"
+#include "relational/expression_compiler.h"
 #include "relational/tuple_ref.h"
 #include "runtime/clock.h"
 #include "runtime/strcat.h"
@@ -28,6 +29,31 @@ std::vector<int64_t> TaskLatencyBounds() {
           2'500'000,   5'000'000,   10'000'000,    25'000'000,
           50'000'000,  100'000'000, 250'000'000,   500'000'000,
           1'000'000'000, 2'500'000'000, 5'000'000'000};
+}
+
+/// Rejects any expression whose compiled program would need more than
+/// CompiledExpr::kMaxStack stack slots (Compile aborts on those). SQL can
+/// nest arbitrarily deep, and so can a hand-built QueryDef.
+Status ValidateStackDepth(const QueryDef& def) {
+  std::vector<std::pair<const char*, const Expression*>> exprs = {
+      {"WHERE", def.where.get()}, {"join predicate", def.join_predicate.get()}};
+  for (const ExprPtr& e : def.select) exprs.emplace_back("SELECT", e.get());
+  for (const ExprPtr& e : def.join_select) exprs.emplace_back("SELECT", e.get());
+  for (const ExprPtr& e : def.group_by) exprs.emplace_back("GROUP BY", e.get());
+  for (const AggregateSpec& a : def.aggregates) {
+    exprs.emplace_back("aggregate input", a.input.get());
+  }
+  for (const auto& [clause, e] : exprs) {
+    if (e == nullptr) continue;
+    const size_t depth = CompiledExpr::StackDepth(*e);
+    if (depth > CompiledExpr::kMaxStack) {
+      return Status::InvalidArgument(StrCat(
+          "query '", def.name, "' has a ", clause, " expression needing ",
+          depth, " evaluation-stack slots (nested too deep); the limit is ",
+          "CompiledExpr::kMaxStack=", CompiledExpr::kMaxStack));
+    }
+  }
+  return Status::OK();
 }
 }  // namespace
 
@@ -345,6 +371,7 @@ Result<QueryHandle*> Engine::TryAddQuery(QueryDef def) {
   // re-check here so hand-assembled QueryDefs fail at admission with a
   // clear message instead of aborting mid-task on a worker thread.
   SABER_RETURN_NOT_OK(def.ValidateLimits());
+  SABER_RETURN_NOT_OK(ValidateStackDepth(def));
   std::lock_guard<std::mutex> lock(registry_mu_);
   size_t slot = registry_.size();
   for (size_t i = 0; i < registry_.size(); ++i) {
@@ -377,7 +404,7 @@ Result<QueryHandle*> Engine::TryAddQuery(QueryDef def) {
         return std::max(matrix_->RateIfPublished(index, Processor::kCpu),
                         matrix_->RateIfPublished(index, Processor::kGpu));
       });
-  qs->cpu_op = MakeCpuOperator(&qs->def, options_.cpu_vectorized);
+  qs->cpu_op = MakeCpuOperator(&qs->def);
   if (device_ != nullptr) {
     qs->gpu_op = MakeGpuOperator(&qs->def, device_.get());
   }
@@ -922,10 +949,10 @@ void Engine::CreateSingleInputTask(QueryState& qs, int64_t end_pos) {
   PushTask(qs, t);
 }
 
-/// Join dispatch (§5.3 + DESIGN.md): both streams are cut at a common
-/// timestamp T so that each task sees both inputs complete through T. The
-/// window extent (history) of each stream stays alive via the free pointer.
-/// Caller holds dispatch_mu.
+/// Join dispatch (§5.3; docs/architecture.md §3): both streams are cut at a
+/// common timestamp T so that each task sees both inputs complete through T.
+/// The window extent (history) of each stream stays alive via the free
+/// pointer. Caller holds dispatch_mu.
 bool Engine::TryCreateJoinTask(QueryState& qs, bool flush) {
   CircularBuffer& b0 = *qs.buffer[0];
   CircularBuffer& b1 = *qs.buffer[1];

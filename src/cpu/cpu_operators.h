@@ -10,35 +10,19 @@
 /// many tasks concurrently (the paper's data-parallel execution), so the
 /// per-task code is single-threaded.
 ///
-/// Two execution regimes exist, selected per query at plan time:
-///  - *vectorized* (default): every expression the operator needs is
-///    lowered once at construction into a CompiledExpr program and
-///    evaluated batch-at-a-time over pane runs — predicates produce
-///    selection vectors, projections/aggregate inputs/group keys produce
-///    typed columns (see docs/architecture.md, "Vectorized CPU operator
-///    path");
-///  - *scalar* fallback: row-interpreted evaluation over the serialized
-///    tuples (lazy deserialisation, §5.1), mirroring the generic operator
-///    code of the original Java engine. Chosen when an expression cannot be
-///    lowered (CompiledExpr::lowerable()) or when
-///    EngineOptions::cpu_vectorized is off (A/B benchmarking).
-
-/// Feature-test macro for out-of-tree harnesses (bench/operator_kernels.cc
-/// builds against pre-vectorization checkouts for baseline interleaving).
-#define SABER_CPU_VECTORIZED_AVAILABLE 1
+/// There is one operator per query shape. Every expression the operator
+/// needs is compiled once at construction into a CompiledExpr program and
+/// evaluated batch-at-a-time over pane runs — predicates produce selection
+/// vectors, projections/aggregate inputs/group keys produce typed columns
+/// (see docs/architecture.md, "Vectorized CPU operator path"). The
+/// row-at-a-time baseline that bench/operator_kernels measures them against
+/// lives in bench/scalar_baseline.h, not here.
 
 namespace saber {
 
 /// Creates the CPU operator for a query: stateless scan (σ/π), pane-partial
-/// aggregation (α with GROUP-BY/HAVING) or streaming θ-join. With
-/// `vectorized` (EngineOptions::cpu_vectorized) the batch-at-a-time path is
-/// used when the query is lowerable; the scalar path otherwise.
-std::unique_ptr<Operator> MakeCpuOperator(const QueryDef* query,
-                                          bool vectorized = true);
-
-/// True if every expression the CPU operator needs (where / projection /
-/// aggregate inputs / group keys / join predicate+projection) lowers to a
-/// batch-evaluable CompiledExpr program. UDF queries are never vectorized.
-bool CpuQueryVectorizable(const QueryDef& query);
+/// aggregation (α with GROUP-BY/HAVING, including session windows),
+/// streaming θ-join, or the UDF operator.
+std::unique_ptr<Operator> MakeCpuOperator(const QueryDef* query);
 
 }  // namespace saber

@@ -147,7 +147,7 @@ class GpuStatelessOperator final : public GpuOperatorBase {
 // group"). Pane boundaries are computed on the CPU at submit time — the
 // paper is explicit that window-boundary computation always runs on the CPU.
 // Within a pane, accumulation is sequential to stay bit-identical with the
-// CPU back end (DESIGN.md); across panes, groups run on all executors.
+// CPU back end; across panes, groups run on all executors.
 // ---------------------------------------------------------------------------
 
 struct PaneRange {

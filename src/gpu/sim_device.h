@@ -13,7 +13,7 @@
 
 /// \file sim_device.h
 /// The simulated GPGPU device — our substitute for the paper's NVIDIA Quadro
-/// K5200 + OpenCL stack (see DESIGN.md, "Hardware substitution"). It
+/// K5200 + OpenCL stack (see docs/architecture.md §5, "Execution stage"). It
 /// reproduces the three properties SABER's design depends on:
 ///
 ///  1. *Throughput-oriented execution*: kernels are compiled, type-

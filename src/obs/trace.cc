@@ -46,16 +46,25 @@ void TraceRing::Push(const TaskSpan& span) {
   std::memcpy(buf, &span, sizeof(TaskSpan));
   const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[idx % slots_.size()];
-  // Seqlock write: odd while the payload is torn. The acq_rel first bump
-  // keeps the word stores from hoisting above it; the release second bump
-  // keeps them from sinking below. Two writers lapping onto the same slot
-  // (a full ring overrun within one store window) leave the version moving,
-  // which the reader treats as torn and skips.
-  slot.version.fetch_add(1, std::memory_order_acq_rel);
+  // Seqlock write: claim the slot by moving its version from even to odd,
+  // copy, then release it at the next even value. Only one writer can win
+  // the claim, so a version the reader sees even is never one that a
+  // writer is still copying under. A writer that finds the slot claimed
+  // (two writers lapping onto it within one store window: a full ring
+  // overrun) drops its span instead of waiting on a worker thread. The
+  // acq_rel claim keeps the word stores from hoisting above it; the
+  // release store keeps them from sinking below.
+  uint64_t v = slot.version.load(std::memory_order_relaxed);
+  if ((v & 1) != 0 ||
+      !slot.version.compare_exchange_strong(v, v + 1,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_relaxed)) {
+    return;
+  }
   for (size_t w = 0; w < Slot::kWords; ++w) {
     slot.words[w].store(buf[w], std::memory_order_relaxed);
   }
-  slot.version.fetch_add(1, std::memory_order_release);
+  slot.version.store(v + 2, std::memory_order_release);
 }
 
 std::vector<TaskSpan> TraceRing::Drain() const {
@@ -67,7 +76,9 @@ std::vector<TaskSpan> TraceRing::Drain() const {
     const Slot& slot = slots_[i % slots_.size()];
     for (int attempt = 0; attempt < 4; ++attempt) {
       const uint64_t v1 = slot.version.load(std::memory_order_acquire);
-      if (v1 & 1) continue;  // mid-write
+      // Odd: mid-write. Zero: never written — the index was handed out
+      // but its writer has not claimed the slot yet.
+      if (v1 == 0 || (v1 & 1) != 0) continue;
       uint64_t buf[Slot::kWords];
       for (size_t w = 0; w < Slot::kWords; ++w) {
         buf[w] = slot.words[w].load(std::memory_order_relaxed);

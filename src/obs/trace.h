@@ -18,10 +18,12 @@
 /// Memory is bounded by construction: sampled spans live *inside* the pooled
 /// QueryTask until completion (no allocation per span), and the ring holds a
 /// fixed number of completed spans — an overrun overwrites the oldest, it
-/// never grows. Slots are seqlock-versioned: a writer bumps the version to
-/// odd, copies the span, bumps to even; Drain() rereads until it observes a
-/// stable even version and discards slots caught mid-write, so a dump is
-/// race-free without ever blocking a worker.
+/// never grows. Slots are seqlock-versioned: a writer claims a slot by
+/// moving its version from even to odd (compare-and-swap), copies the span,
+/// then stores the next even version; a writer that finds the slot already
+/// claimed drops its span. Drain() rereads until it observes a stable even
+/// version and discards slots caught mid-write, so a dump is race-free
+/// without ever blocking a worker.
 ///
 /// Dumps render as Chrome `trace_event` JSON (load via chrome://tracing or
 /// https://ui.perfetto.dev): one "X" (complete) event per stage, rows keyed
@@ -68,11 +70,12 @@ class TraceRing {
     return static_cast<uint32_t>(state >> 32) < threshold_;
   }
 
-  /// Publishes a completed span (engine workers; lock-free).
+  /// Publishes a completed span (engine workers; lock-free). Dropped when
+  /// another writer still holds the target slot (a full ring overrun).
   void Push(const TaskSpan& span);
 
   /// Copies the retained spans, oldest first. Safe concurrent with Push;
-  /// spans mid-overwrite are skipped (see the file comment).
+  /// slots mid-write or not yet written are skipped (see the file comment).
   std::vector<TaskSpan> Drain() const;
 
   size_t capacity() const { return slots_.size(); }
@@ -87,11 +90,11 @@ class TraceRing {
   struct Slot {
     static constexpr size_t kWords = (sizeof(TaskSpan) + 7) / 8;
     std::atomic<uint64_t> version{0};
-    /// Span payload as relaxed-atomic words: a reader racing a writer (or
-    /// two writers lapping onto the same slot) then performs defined,
-    /// untorn word accesses — no C++ data race — while the seqlock version
-    /// validates whole-record consistency. The word copies stay plain
-    /// MOV instructions; only the version carries ordering.
+    /// Span payload as relaxed-atomic words: a reader racing a writer then
+    /// performs defined, untorn word accesses — no C++ data race — while
+    /// the seqlock version validates whole-record consistency. The word
+    /// copies stay plain MOV instructions; only the version carries
+    /// ordering.
     std::atomic<uint64_t> words[kWords] = {};
   };
 

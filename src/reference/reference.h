@@ -19,8 +19,9 @@
 ///    is emitted iff it received at least one raw input tuple (ungrouped) or
 ///    at least one filtered tuple (grouped); only windows whose end lies
 ///    within the covered axis range are emitted; output timestamp is the
-///    maximum input timestamp in the window (per group when grouped); group
-///    rows are ordered by packed key bytes;
+///    maximum raw input timestamp in the window (ungrouped), or the
+///    window's maximum *filtered* timestamp, shared by every group row of
+///    that window (grouped); group rows are ordered by packed key bytes;
 ///  - session aggregation (kSession windows): sessions are maximal runs of
 ///    raw tuples whose consecutive timestamp gaps are <= gap; a session is
 ///    emitted once the stream watermark (last timestamp) passes its last

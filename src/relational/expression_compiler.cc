@@ -224,8 +224,9 @@ struct PairAccess {
   }
 };
 
-/// Per-thread lane scratch: max_stack slanes of kBatchSize values. Bounded
-/// by kMaxBatchStack (lowerable programs only), i.e. <= 128 KiB per thread.
+/// Per-thread lane scratch: max_stack lanes of kBatchSize values. Grows to
+/// the deepest program the thread has run: 128 KiB covers depth 16, the
+/// kMaxStack bound caps it at 512 KiB.
 LaneVal* BatchScratch(size_t slots) {
   thread_local std::vector<LaneVal> buf;
   const size_t need = slots * CompiledExpr::kBatchSize;
@@ -235,36 +236,48 @@ LaneVal* BatchScratch(size_t slots) {
 
 }  // namespace
 
+size_t CompiledExpr::StackDepth(const Expression& expr) {
+  // Mirrors Emit: the first operand is evaluated in place, every later one
+  // a slot above the values still pending; lane hops (kCastF64 / kTestF64)
+  // and kNot rewrite the stack top in place. The loop follows first
+  // operands, so a left-leaning chain of any length costs no recursion.
+  size_t depth = 1;
+  for (const Expression* e = &expr;;) {
+    switch (e->kind()) {
+      case Expression::Kind::kColumn:
+      case Expression::Kind::kLiteral:
+        return depth;
+      case Expression::Kind::kArith: {
+        const auto& a = static_cast<const ArithExpr&>(*e);
+        depth = std::max(depth, 1 + StackDepth(*a.rhs()));
+        e = a.lhs().get();
+        break;
+      }
+      case Expression::Kind::kCompare: {
+        const auto& c = static_cast<const CompareExpr&>(*e);
+        depth = std::max(depth, 1 + StackDepth(*c.rhs()));
+        e = c.lhs().get();
+        break;
+      }
+      case Expression::Kind::kLogical: {
+        const auto& operands = static_cast<const LogicalExpr&>(*e).operands();
+        for (size_t i = 1; i < operands.size(); ++i) {
+          depth = std::max(depth, 1 + StackDepth(*operands[i]));
+        }
+        e = operands[0].get();
+        break;
+      }
+    }
+  }
+}
+
 CompiledExpr CompiledExpr::Compile(const Expression& expr, const Schema& ls,
                                    const Schema* rs) {
   CompiledExpr out;
+  out.max_stack_ = StackDepth(expr);
+  SABER_CHECK(out.max_stack_ <= kMaxStack);
   out.Emit(expr, ls, rs);
   out.result_integral_ = expr.integral();
-  // Compute the stack high-water mark for the interpreter's fixed buffer.
-  size_t depth = 0, max_depth = 0;
-  for (const Instr& i : out.program_) {
-    switch (i.op) {
-      case Op::kPushColInt32:
-      case Op::kPushColInt64:
-      case Op::kPushColFloat:
-      case Op::kPushColDouble:
-      case Op::kPushConstF64:
-      case Op::kPushConstI64:
-        ++depth;
-        break;
-      case Op::kCastF64:
-      case Op::kTestF64:
-      case Op::kNot:
-        break;  // 1 in, 1 out
-      default:
-        --depth;  // 2 in, 1 out
-        break;
-    }
-    max_depth = std::max(max_depth, depth);
-  }
-  out.max_stack_ = max_depth;
-  SABER_CHECK(max_depth <= kMaxStack);
-  out.lowerable_ = !out.program_.empty() && max_depth <= kMaxBatchStack;
   return out;
 }
 
@@ -531,7 +544,7 @@ bool CompiledExpr::EvalBool(const uint8_t* left, const uint8_t* right) const {
 
 size_t CompiledExpr::EvalBatchBool(const uint8_t* base, size_t stride, size_t n,
                                    uint32_t* sel_out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   size_t cnt = 0;
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
@@ -553,7 +566,7 @@ size_t CompiledExpr::EvalBatchBool(const uint8_t* base, size_t stride, size_t n,
 void CompiledExpr::EvalBatchDouble(const uint8_t* base, size_t stride,
                                    const uint32_t* sel, size_t n,
                                    double* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);
@@ -575,7 +588,7 @@ void CompiledExpr::EvalBatchDouble(const uint8_t* base, size_t stride,
 void CompiledExpr::EvalBatchInt64(const uint8_t* base, size_t stride,
                                   const uint32_t* sel, size_t n,
                                   int64_t* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);
@@ -599,7 +612,7 @@ size_t CompiledExpr::EvalBatchBoolPairs(const uint8_t* const* left,
                                         const uint8_t* const* right,
                                         const uint8_t* fixed_right, size_t n,
                                         uint32_t* sel_out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   size_t cnt = 0;
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
@@ -626,7 +639,7 @@ void CompiledExpr::EvalBatchDoublePairs(const uint8_t* const* left,
                                         const uint8_t* const* right,
                                         const uint8_t* fixed_right, size_t n,
                                         double* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);
@@ -649,7 +662,7 @@ void CompiledExpr::EvalBatchInt64Pairs(const uint8_t* const* left,
                                        const uint8_t* const* right,
                                        const uint8_t* fixed_right, size_t n,
                                        int64_t* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);

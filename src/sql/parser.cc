@@ -296,11 +296,40 @@ class Parser {
     return Status::OK();
   }
 
+  /// Runs one level of recursive descent (parentheses, unary minus, NOT,
+  /// aggregate arguments), bounded by kMaxNestingDepth so a hostile
+  /// statement is an InvalidArgument rather than a stack overflow.
+  template <typename ParseFn>
+  Result<ExprPtr> Nested(ParseFn&& parse) {
+    if (depth_ >= kMaxNestingDepth) {
+      return Err(StrCat("expression nested deeper than ", kMaxNestingDepth,
+                        " levels"));
+    }
+    ++depth_;
+    Result<ExprPtr> e = parse();
+    --depth_;
+    return e;
+  }
+
+  /// Counts one operator of the expression being parsed. A tree is at most
+  /// one level taller than its operator count, and compiling, evaluating
+  /// and freeing it all recurse over that height: a long flat chain such
+  /// as `a + a + ... + a` needs no parser recursion but would still
+  /// overflow the stack downstream.
+  Status CountOperator() {
+    if (++operators_ > kMaxExpressionOperators) {
+      return Err(StrCat("expression has more than ", kMaxExpressionOperators,
+                        " operators"));
+    }
+    return Status::OK();
+  }
+
   // Expression grammar: or_expr > and_expr > not > comparison > additive >
   // multiplicative > primary.
   Result<ExprPtr> ParseExpr() {
     last_was_aggregate_ = false;
     last_item_name_.clear();
+    operators_ = 0;
     return ParseOr();
   }
 
@@ -310,6 +339,7 @@ class Parser {
     std::vector<ExprPtr> terms;
     terms.push_back(std::move(lhs).value());
     while (AcceptKeyword("or")) {
+      SABER_RETURN_NOT_OK(CountOperator());
       auto rhs = ParseAnd();
       if (!rhs.ok()) return rhs;
       terms.push_back(std::move(rhs).value());
@@ -324,6 +354,7 @@ class Parser {
     std::vector<ExprPtr> terms;
     terms.push_back(std::move(lhs).value());
     while (AcceptKeyword("and")) {
+      SABER_RETURN_NOT_OK(CountOperator());
       auto rhs = ParseNot();
       if (!rhs.ok()) return rhs;
       terms.push_back(std::move(rhs).value());
@@ -334,7 +365,8 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (AcceptKeyword("not")) {
-      auto e = ParseNot();
+      SABER_RETURN_NOT_OK(CountOperator());
+      auto e = Nested([&] { return ParseNot(); });
       if (!e.ok()) return e;
       return Not(std::move(e).value());
     }
@@ -356,6 +388,7 @@ class Parser {
       default: return lhs;
     }
     Next();
+    SABER_RETURN_NOT_OK(CountOperator());
     auto rhs = ParseAdditive();
     if (!rhs.ok()) return rhs;
     return ExprPtr(std::make_shared<CompareExpr>(op, std::move(lhs).value(),
@@ -367,17 +400,13 @@ class Parser {
     if (!lhs.ok()) return lhs;
     ExprPtr e = std::move(lhs).value();
     for (;;) {
-      if (Accept(TokenKind::kPlus)) {
-        auto rhs = ParseMultiplicative();
-        if (!rhs.ok()) return rhs;
-        e = Add(std::move(e), std::move(rhs).value());
-      } else if (Accept(TokenKind::kMinus)) {
-        auto rhs = ParseMultiplicative();
-        if (!rhs.ok()) return rhs;
-        e = Sub(std::move(e), std::move(rhs).value());
-      } else {
-        return e;
-      }
+      const bool add = Accept(TokenKind::kPlus);
+      if (!add && !Accept(TokenKind::kMinus)) return e;
+      SABER_RETURN_NOT_OK(CountOperator());
+      auto rhs = ParseMultiplicative();
+      if (!rhs.ok()) return rhs;
+      e = add ? Add(std::move(e), std::move(rhs).value())
+              : Sub(std::move(e), std::move(rhs).value());
     }
   }
 
@@ -386,20 +415,22 @@ class Parser {
     if (!lhs.ok()) return lhs;
     ExprPtr e = std::move(lhs).value();
     for (;;) {
-      if (Accept(TokenKind::kStar)) {
-        auto rhs = ParsePrimary();
-        if (!rhs.ok()) return rhs;
-        e = Mul(std::move(e), std::move(rhs).value());
-      } else if (Accept(TokenKind::kSlash)) {
-        auto rhs = ParsePrimary();
-        if (!rhs.ok()) return rhs;
-        e = Div(std::move(e), std::move(rhs).value());
-      } else if (Accept(TokenKind::kPercent)) {
-        auto rhs = ParsePrimary();
-        if (!rhs.ok()) return rhs;
-        e = Mod(std::move(e), std::move(rhs).value());
-      } else {
+      const TokenKind op = Peek().kind;
+      if (op != TokenKind::kStar && op != TokenKind::kSlash &&
+          op != TokenKind::kPercent) {
         return e;
+      }
+      Next();
+      SABER_RETURN_NOT_OK(CountOperator());
+      auto rhs = ParsePrimary();
+      if (!rhs.ok()) return rhs;
+      ExprPtr r = std::move(rhs).value();
+      if (op == TokenKind::kStar) {
+        e = Mul(std::move(e), std::move(r));
+      } else if (op == TokenKind::kSlash) {
+        e = Div(std::move(e), std::move(r));
+      } else {
+        e = Mod(std::move(e), std::move(r));
       }
     }
   }
@@ -412,12 +443,13 @@ class Parser {
       return Lit(t.number);
     }
     if (Accept(TokenKind::kMinus)) {
-      auto e = ParsePrimary();
+      SABER_RETURN_NOT_OK(CountOperator());
+      auto e = Nested([&] { return ParsePrimary(); });
       if (!e.ok()) return e;
       return Sub(Lit(static_cast<int64_t>(0)), std::move(e).value());
     }
     if (Accept(TokenKind::kLParen)) {
-      auto e = ParseOr();
+      auto e = Nested([&] { return ParseOr(); });
       if (!e.ok()) return e;
       SABER_RETURN_NOT_OK(ExpectKind(TokenKind::kRParen, "')'"));
       return e;
@@ -439,7 +471,7 @@ class Parser {
           return Err("'*' argument only valid for count");
         }
       } else {
-        auto e = ParseOr();
+        auto e = Nested([&] { return ParseOr(); });
         if (!e.ok()) return e;
         input = std::move(e).value();
       }
@@ -565,8 +597,17 @@ class Parser {
     return b.TryBuild();
   }
 
+  /// Far deeper than any expression the engine admits (its compiled
+  /// programs stop at CompiledExpr::kMaxStack = 64 slots), far shallower
+  /// than the parser's stack use would allow.
+  static constexpr int kMaxNestingDepth = 128;
+  /// Bounds the tree height for the recursion downstream of the parser.
+  static constexpr int kMaxExpressionOperators = 4096;
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
+  int operators_ = 0;  // in the expression being parsed
   const Catalog& catalog_;
   std::string name_;
   std::vector<Source> sources_;

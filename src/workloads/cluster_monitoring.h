@@ -7,8 +7,8 @@
 
 /// \file cluster_monitoring.h
 /// The compute-cluster monitoring workload (CM, §6.1). The paper replays the
-/// Google cluster trace [53]; we generate a synthetic equivalent
-/// (DESIGN.md): timestamped task events with job/task/machine identifiers,
+/// Google cluster trace [53]; we generate a synthetic equivalent:
+/// timestamped task events with job/task/machine identifiers,
 /// an event type, scheduling class ("category"), priority and resource
 /// requests. The property §6.6 depends on — bursts of task-failure events
 /// that raise the selectivity of failure-filtering queries — is reproduced

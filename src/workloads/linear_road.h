@@ -7,7 +7,7 @@
 
 /// \file linear_road.h
 /// The Linear Road Benchmark workload (LRB, §6.1) [8]: position reports of
-/// vehicles on a network of toll roads. The generator (DESIGN.md) models
+/// vehicles on a network of toll roads. The generator models
 /// vehicles advancing along highways with congestion waves, so that LRB3's
 /// HAVING avgSpeed < 40 selects congested segments.
 ///
@@ -17,7 +17,7 @@
 ///         vehicle rows-1 window joined with a 30 s window; we express it as
 ///         a self-join of the segment stream (30 s window against a 1 s
 ///         window on vehicle equality and segment inequality), which detects
-///         the same segment-entry events (substitution noted in DESIGN.md).
+///         the same segment-entry events.
 ///   LRB3: average speed per (highway, direction, segment) over [300, 1]
 ///         with HAVING avgSpeed < 40.
 ///   LRB4: vehicle counts per segment — nested aggregation, expressed as two

@@ -6,9 +6,9 @@
 #include "core/query.h"
 
 /// \file smart_grid.h
-/// The smart-grid anomaly detection workload (SG, §6.1), standing in for the
-/// DEBS 2014 Grand Challenge trace [34] (DESIGN.md): a stream of smart-meter
-/// load readings identified by (house, household, plug). Houses carry
+/// The smart-grid anomaly detection workload (SG, §6.1). A generator
+/// stands in for the DEBS 2014 Grand Challenge trace [34]: a stream of
+/// smart-meter load readings identified by (house, household, plug). Houses carry
 /// distinct base-load offsets so that SG3's anomaly condition (local average
 /// above the global average) selects a stable, non-trivial subset.
 ///

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -535,7 +536,11 @@ TEST_F(ProtocolBattery, CorpusReplayNeverCrashes) {
   StartServer();
   const std::filesystem::path dir = SABER_NET_CORPUS_DIR;
   ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
-  size_t replayed = 0;
+  // Valid control sessions submitting hostile SQL (nesting far beyond the
+  // parser's and the compiler's bounds): the answer must be an Error frame.
+  const std::set<std::string> must_error = {"submit_deep_expression.bin",
+                                            "submit_paren_flood.bin"};
+  size_t replayed = 0, errored = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".bin") continue;
     std::ifstream f(entry.path(), std::ios::binary);
@@ -544,14 +549,25 @@ TEST_F(ProtocolBattery, CorpusReplayNeverCrashes) {
                                std::istreambuf_iterator<char>());
     net::Socket s = Raw();
     (void)net::WriteFull(s.fd(), bytes.data(), bytes.size());
-    // Read whatever the server answers (error or nothing), then drop.
+    // Read whatever the server answers (hello-ok, error or nothing) until
+    // it errors, closes or goes quiet, then drop.
     (void)net::SetRecvTimeout(s.fd(), 250);
     std::vector<uint8_t> payload;
-    (void)net::RecvFrame(s.fd(), kMaxFramePayload, &payload);
+    bool saw_error = false;
+    for (int frames = 0; frames < 4 && !saw_error; ++frames) {
+      auto h = net::RecvFrame(s.fd(), kMaxFramePayload, &payload);
+      if (!h.ok()) break;
+      saw_error = h.value().type == FrameType::kError;
+    }
     s.Close();
     ++replayed;
+    if (must_error.count(entry.path().filename().string()) > 0) {
+      EXPECT_TRUE(saw_error) << entry.path();
+      errored += saw_error ? 1 : 0;
+    }
   }
   EXPECT_GE(replayed, 6u) << "corpus seeds missing from " << dir;
+  EXPECT_EQ(errored, must_error.size()) << "hostile SUBMIT seeds missing";
   ExpectHealthy();
 }
 

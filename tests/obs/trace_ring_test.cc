@@ -72,34 +72,52 @@ TEST(TraceRing, IntermediateSampleRateIsRoughlyProportional) {
   EXPECT_LT(sampled, kTrials / 2);
 }
 
-TEST(TraceRing, ConcurrentPushersNeverTearASpan) {
-  // Spans are self-consistent (every stage = base + id); a torn read mixes
-  // two spans and breaks that invariant. The seqlock must never let one out.
-  TraceRing ring(1.0, 64);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 20'000;
+/// Spans are self-consistent (every stage = base + id); a torn read mixes
+/// two spans and breaks that invariant. The seqlock must never let one out.
+void PushConcurrentlyAndCheckNoTornSpan(size_t capacity, int writers,
+                                        int per_writer) {
+  TraceRing ring(1.0, capacity);
   std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load()) {
-      for (const TaskSpan& s : ring.Drain()) {
-        EXPECT_EQ(s.create_nanos, s.insert_nanos + 1000);
-        EXPECT_EQ(s.done_nanos, s.insert_nanos + 6000);
-        EXPECT_EQ(s.bytes, s.task_id * 100);
+  int64_t drained = 0, torn = 0;
+  auto check = [&](const std::vector<TaskSpan>& spans) {
+    for (const TaskSpan& s : spans) {
+      ++drained;
+      if (s.create_nanos != s.insert_nanos + 1000 ||
+          s.done_nanos != s.insert_nanos + 6000 || s.bytes != s.task_id * 100) {
+        ++torn;
       }
     }
+  };
+  std::thread reader([&] {
+    while (!stop.load()) check(ring.Drain());
   });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&ring, t] {
-      for (int64_t i = 0; i < kPerThread; ++i) {
-        ring.Push(MakeSpan(t * kPerThread + i));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < writers; ++t) {
+    threads.emplace_back([&ring, t, per_writer] {
+      for (int64_t i = 0; i < per_writer; ++i) {
+        ring.Push(MakeSpan(t * per_writer + i));
       }
     });
   }
-  for (auto& w : writers) w.join();
+  for (auto& w : threads) w.join();
   stop.store(true);
   reader.join();
-  EXPECT_EQ(ring.total_pushed(), int64_t{kThreads} * kPerThread);
+  check(ring.Drain());
+  EXPECT_EQ(torn, 0) << "of " << drained << " drained spans";
+  EXPECT_EQ(ring.total_pushed(), int64_t{writers} * per_writer);
+}
+
+TEST(TraceRing, ConcurrentPushersNeverTearASpan) {
+  PushConcurrentlyAndCheckNoTornSpan(/*capacity=*/64, /*writers=*/4,
+                                     /*per_writer=*/20'000);
+}
+
+TEST(TraceRing, ConcurrentPushersOnOneSlotNeverTearASpan) {
+  // Every push laps onto the same slot, so writers overlap on nearly every
+  // store window: the case where two writers' version bumps used to leave
+  // the slot even while both were still copying.
+  PushConcurrentlyAndCheckNoTornSpan(/*capacity=*/1, /*writers=*/3,
+                                     /*per_writer=*/20'000);
 }
 
 TEST(TraceRender, EmitsSixStagesPerCompleteSpan) {

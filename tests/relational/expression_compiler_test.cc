@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 
 namespace saber {
@@ -62,19 +64,126 @@ TEST_F(CompilerTest, StackDepthTracking) {
   EXPECT_DOUBLE_EQ(c.EvalDouble(row_.data()), 31.0);
 }
 
-TEST_F(CompilerTest, DeepProgramsAreNotLowerable) {
-  // Stack depth beyond kMaxBatchStack still evaluates scalar but is
-  // rejected for batch evaluation: the CPU operator path must fall back.
-  ExprPtr shallow = Lit(int64_t{1});
-  for (int i = 0; i < 8; ++i) shallow = Add(Lit(int64_t{1}), shallow);
-  EXPECT_TRUE(CompiledExpr::Compile(*shallow, schema_).lowerable());
+/// Stack slots the program's instructions actually use: the depth
+/// StackDepth must predict, since the batch scratch is sized from it.
+size_t ProgramStackDepth(const CompiledExpr& c) {
+  size_t depth = 0, max_depth = 0;
+  for (const CompiledExpr::Instr& i : c.program()) {
+    switch (i.op) {
+      case CompiledExpr::Op::kPushColInt32:
+      case CompiledExpr::Op::kPushColInt64:
+      case CompiledExpr::Op::kPushColFloat:
+      case CompiledExpr::Op::kPushColDouble:
+      case CompiledExpr::Op::kPushConstF64:
+      case CompiledExpr::Op::kPushConstI64:
+        ++depth;
+        break;
+      case CompiledExpr::Op::kCastF64:
+      case CompiledExpr::Op::kTestF64:
+      case CompiledExpr::Op::kNot:
+        break;
+      default:
+        --depth;
+        break;
+    }
+    max_depth = std::max(max_depth, depth);
+  }
+  return max_depth;
+}
 
-  ExprPtr deep = Lit(int64_t{1});
-  for (int i = 0; i < 30; ++i) deep = Add(Lit(int64_t{1}), deep);
-  CompiledExpr c = CompiledExpr::Compile(*deep, schema_);
-  EXPECT_GT(c.max_stack(), CompiledExpr::kMaxBatchStack);
-  EXPECT_FALSE(c.lowerable());
-  EXPECT_DOUBLE_EQ(c.EvalDouble(row_.data()), 31.0);  // scalar still works
+TEST_F(CompilerTest, DeepProgramsBatchEvaluateLikeScalar) {
+  // Every stack depth from one past the pre-allocated batch scratch (16
+  // slots) to the kMaxStack bound batch-evaluates bit-identically to the
+  // scalar interpreter, for all three result kinds and with a gather.
+  std::mt19937 rng(17);
+  std::uniform_int_distribution<int> val(-9, 9);
+  const size_t n = 1100;  // > one internal batch
+  const size_t tsz = schema_.tuple_size();
+  std::vector<uint8_t> data(n * tsz);
+  for (size_t i = 0; i < n; ++i) {
+    TupleWriter w(data.data() + i * tsz, &schema_);
+    w.SetInt64(0, val(rng)).SetInt32(1, val(rng)).SetInt32(2, val(rng));
+    w.SetFloat(3, static_cast<float>(val(rng)) / 2.0f);
+  }
+  std::vector<uint32_t> sel(n), gather(n / 3);
+  for (size_t j = 0; j < gather.size(); ++j) gather[j] = static_cast<uint32_t>(3 * j);
+  std::vector<double> d(n);
+  std::vector<int64_t> i64(n);
+
+  for (size_t depth = 17; depth <= CompiledExpr::kMaxStack; ++depth) {
+    // A right-leaning chain needs one slot per level; alternate the lanes
+    // and operators so every instruction family runs deep in the stack.
+    ExprPtr e = Col(schema_, depth % 2 == 0 ? "a" : "f");
+    for (size_t level = 1; level < depth; ++level) {
+      switch (level % 4) {
+        case 0: e = Add(Col(schema_, "a"), e); break;
+        case 1: e = Sub(Col(schema_, "b"), e); break;
+        case 2: e = Mul(Lit(int64_t{1}), e); break;
+        default: e = Mod(Col(schema_, "f"), e); break;
+      }
+    }
+    const ExprPtr pred = Gt(e, Lit(int64_t{0}));
+    for (const ExprPtr& expr : {e, pred}) {
+      CompiledExpr c = CompiledExpr::Compile(*expr, schema_);
+      ASSERT_EQ(c.max_stack(), CompiledExpr::StackDepth(*expr));
+      ASSERT_EQ(c.max_stack(), ProgramStackDepth(c));
+      ASSERT_GE(c.max_stack(), depth);
+      ASSERT_LE(c.max_stack(), CompiledExpr::kMaxStack);
+
+      c.EvalBatchDouble(data.data(), tsz, nullptr, n, d.data());
+      c.EvalBatchInt64(data.data(), tsz, nullptr, n, i64.data());
+      const size_t cnt = c.EvalBatchBool(data.data(), tsz, n, sel.data());
+      size_t expect = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint8_t* row = data.data() + i * tsz;
+        ASSERT_EQ(d[i], c.EvalDouble(row)) << "depth " << depth << " i=" << i;
+        ASSERT_EQ(i64[i], c.EvalInt64(row)) << "depth " << depth << " i=" << i;
+        if (c.EvalBool(row)) {
+          ASSERT_LT(expect, cnt);
+          ASSERT_EQ(sel[expect++], i) << "depth " << depth;
+        }
+      }
+      ASSERT_EQ(expect, cnt) << "depth " << depth;
+
+      c.EvalBatchDouble(data.data(), tsz, gather.data(), gather.size(),
+                        d.data());
+      for (size_t j = 0; j < gather.size(); ++j) {
+        ASSERT_EQ(d[j], c.EvalDouble(data.data() + gather[j] * tsz));
+      }
+    }
+  }
+}
+
+TEST_F(CompilerTest, StackDepthMatchesCompiledPrograms) {
+  // StackDepth reads the tree; the batch scratch is sized from it, so it
+  // must equal the program's real high-water mark for every shape.
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<int> pick(0, 9);
+  std::function<ExprPtr(int)> gen = [&](int depth) -> ExprPtr {
+    if (depth == 0 || pick(rng) < 2) {
+      if (pick(rng) < 5) return ColAt(schema_, pick(rng) % 4);
+      return pick(rng) < 5 ? Lit(int64_t{3}) : Lit(0.5);
+    }
+    switch (pick(rng)) {
+      case 0: return Add(gen(depth - 1), gen(depth - 1));
+      case 1: return Div(gen(depth - 1), gen(depth - 1));
+      case 2: return Mod(gen(depth - 1), gen(depth - 1));
+      case 3: return Le(gen(depth - 1), gen(depth - 1));
+      case 4: return Eq(gen(depth - 1), gen(depth - 1));
+      case 5: return And({gen(depth - 1), gen(depth - 1), gen(depth - 1)});
+      case 6: return Or({gen(depth - 1), gen(depth - 1)});
+      case 7: return Not(gen(depth - 1));
+      default: return Sub(gen(depth - 1), gen(depth - 1));
+    }
+  };
+  for (int iter = 0; iter < 300; ++iter) {
+    ExprPtr e = gen(7);
+    if (CompiledExpr::StackDepth(*e) > CompiledExpr::kMaxStack) continue;
+    CompiledExpr c = CompiledExpr::Compile(*e, schema_);
+    ASSERT_EQ(CompiledExpr::StackDepth(*e), ProgramStackDepth(c))
+        << e->ToString();
+    ASSERT_EQ(c.max_stack(), ProgramStackDepth(c)) << e->ToString();
+  }
 }
 
 TEST_F(CompilerTest, Int64KeysBeyondTwoPow53StayExact) {
@@ -139,7 +248,6 @@ TEST_F(CompilerTest, BatchEvaluatorsMatchScalar) {
   std::vector<int64_t> i64(n);
   for (const ExprPtr& e : exprs) {
     CompiledExpr c = CompiledExpr::Compile(*e, schema_);
-    ASSERT_TRUE(c.lowerable()) << e->ToString();
 
     // Dense double / int64 columns.
     c.EvalBatchDouble(data.data(), tsz, nullptr, n, d.data());
@@ -189,7 +297,6 @@ TEST_F(CompilerTest, BatchPairEvaluatorsMatchScalar) {
   auto pred = And({Le(Col(schema_, "a"), Col(right, "x", Side::kRight)),
                    Ne(Col(right, "x", Side::kRight), Lit(int64_t{0}))});
   CompiledExpr c = CompiledExpr::Compile(*pred, schema_, &right);
-  ASSERT_TRUE(c.lowerable());
 
   std::vector<uint32_t> sel(n);
   const size_t cnt = c.EvalBatchBoolPairs(nullptr, row_.data(), rptrs.data(),

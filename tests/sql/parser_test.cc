@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/engine.h"
 #include "reference/reference.h"
 #include "test_util.h"
 #include "workloads/cluster_monitoring.h"
@@ -353,15 +356,85 @@ TEST(Parser, SelectAliasNamesGroupKeyColumn) {
 }
 
 TEST(Parser, DeeplyNestedParenthesesDoNotOverflow) {
-  std::string q = "select * from SynStream [rows 8] where ";
-  for (int i = 0; i < 200; ++i) q += '(';
-  q += "a1 > 1";
-  for (int i = 0; i < 200; ++i) q += ')';
-  auto r = sql::Parse(q, MakeCatalog());
-  // Either accepted (balanced) or rejected with a depth error — no crash.
-  if (r.ok()) {
-    EXPECT_NE(r.value().where, nullptr);
+  // The recursive descent is bounded: 100 000 parentheses (~200 KB) used to
+  // recurse once per '(' until the stack ran out. Unary minus and NOT
+  // recurse too.
+  auto nested = [](int levels, const std::string& open,
+                   const std::string& close) {
+    std::string q = "select * from SynStream [rows 8] where ";
+    for (int i = 0; i < levels; ++i) q += open;
+    q += "a1 > 1";
+    for (int i = 0; i < levels; ++i) q += close;
+    return q;
+  };
+  auto ok = sql::Parse(nested(100, "(", ")"), MakeCatalog());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_NE(ok.value().where, nullptr);
+  for (const std::string& q :
+       {nested(200, "(", ")"), nested(100'000, "(", ")"),
+        nested(100'000, "- ", ""), nested(100'000, "not ", "")}) {
+    auto r = sql::Parse(q, MakeCatalog());
+    ASSERT_FALSE(r.ok()) << q.substr(0, 60);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("nested deeper than"),
+              std::string::npos)
+        << r.status().ToString();
   }
+}
+
+TEST(Parser, TooDeepExpressionIsRejectedAtAdmission) {
+  // 70 nested `a2 + (...)` levels parse fine, but the compiled program
+  // would need 71 stack slots: the engine must refuse the query with a
+  // Status instead of aborting when it compiles the operator.
+  std::string expr = "a2";
+  for (int i = 0; i < 70; ++i) expr = "a2 + (" + expr + ")";
+  auto r = sql::Parse("select timestamp, " + expr + " as deep from SynStream "
+                      "[rows 8]",
+                      MakeCatalog());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EngineOptions eo;
+  eo.num_cpu_workers = 1;
+  eo.use_gpu = false;
+  Engine engine(eo);
+  auto added = engine.TryAddQuery(r.value());
+  ASSERT_FALSE(added.ok());
+  EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(added.status().message().find("kMaxStack"), std::string::npos)
+      << added.status().ToString();
+
+  // At the limit the same shape is admitted.
+  expr = "a2";
+  for (int i = 0; i < 63; ++i) expr = "a2 + (" + expr + ")";
+  auto ok = sql::Parse("select timestamp, " + expr + " as deep from SynStream "
+                       "[rows 8]",
+                       MakeCatalog());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(engine.TryAddQuery(ok.value()).ok());
+}
+
+TEST(Parser, LongFlatChainsAreBoundedByOperatorCount) {
+  // A left-leaning chain needs no parser recursion and two stack slots,
+  // but its tree is as tall as it is long, and compiling or freeing it
+  // recurses over that height: ~500 KB of `+ a2` used to overflow the stack
+  // in Compile.
+  auto chain = [](int terms) {
+    std::string expr = "a2";
+    for (int i = 1; i < terms; ++i) expr += " + a2";
+    return "select timestamp, " + expr + " as flat from SynStream [rows 8]";
+  };
+  auto r = sql::Parse(chain(4'000), MakeCatalog());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EngineOptions eo;
+  eo.num_cpu_workers = 1;
+  eo.use_gpu = false;
+  Engine engine(eo);
+  EXPECT_TRUE(engine.TryAddQuery(r.value()).ok());
+
+  auto too_long = sql::Parse(chain(100'000), MakeCatalog());
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_long.status().message().find("operators"), std::string::npos)
+      << too_long.status().ToString();
 }
 
 TEST(Parser, ErrorMessagesNameTheProblem) {

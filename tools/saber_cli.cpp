@@ -558,7 +558,13 @@ int main(int argc, char** argv) {
                               : (cli.trace_out.empty() ? 0.0 : 1.0);
   Engine engine(options);
   const int num_inputs = query.num_inputs;
-  QueryHandle* q = engine.AddQuery(std::move(query));
+  Result<QueryHandle*> added = engine.TryAddQuery(std::move(query));
+  if (!added.ok()) {
+    std::fprintf(stderr, "query rejected: %s\n",
+                 added.status().message().c_str());
+    return 1;
+  }
+  QueryHandle* q = added.value();
 
   int64_t rows = 0;
   const Schema& out = q->output_schema();
