@@ -150,6 +150,18 @@ struct AggCase {
   int agg_mix;  // 0: sum, 1: avg+count, 2: min+max, 3: all five
 };
 
+// Prints a case byte for byte, padding zeroed, so its CTest id is stable.
+void PrintTo(const AggCase& c, std::ostream* os) {
+  unsigned char img[sizeof(AggCase)] = {};
+  testing::PutBytes(img, offsetof(AggCase, time_based), c.time_based);
+  testing::PutBytes(img, offsetof(AggCase, size), c.size);
+  testing::PutBytes(img, offsetof(AggCase, slide), c.slide);
+  testing::PutBytes(img, offsetof(AggCase, batch), c.batch);
+  testing::PutBytes(img, offsetof(AggCase, grouped), c.grouped);
+  testing::PutBytes(img, offsetof(AggCase, agg_mix), c.agg_mix);
+  testing::PrintObjectBytes(img, sizeof(img), os);
+}
+
 class AggregationPropertyTest : public ::testing::TestWithParam<AggCase> {};
 
 TEST_P(AggregationPropertyTest, MatchesReference) {

@@ -181,6 +181,17 @@ struct GpuAggCase {
   bool grouped;
 };
 
+// Prints a case byte for byte, padding zeroed, so its CTest id is stable.
+void PrintTo(const GpuAggCase& c, std::ostream* os) {
+  unsigned char img[sizeof(GpuAggCase)] = {};
+  testing::PutBytes(img, offsetof(GpuAggCase, time_based), c.time_based);
+  testing::PutBytes(img, offsetof(GpuAggCase, size), c.size);
+  testing::PutBytes(img, offsetof(GpuAggCase, slide), c.slide);
+  testing::PutBytes(img, offsetof(GpuAggCase, batch), c.batch);
+  testing::PutBytes(img, offsetof(GpuAggCase, grouped), c.grouped);
+  testing::PrintObjectBytes(img, sizeof(img), os);
+}
+
 class GpuAggregationPropertyTest : public ::testing::TestWithParam<GpuAggCase> {
  protected:
   void SetUp() override {

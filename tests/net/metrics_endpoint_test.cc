@@ -133,6 +133,10 @@ TEST_F(MetricsEndpointTest, ScrapeMatchesEngineAfterFaultedNetworkRun) {
   }
   for (auto& t : producers) t.join();
   ASSERT_TRUE(control.value().Drain(id).ok());
+  // The wire Drain returns once every tuple is merged into the engine, not
+  // once the engine has run the tasks: without this the GPGPU worker can
+  // still be submitting (and hitting the fault point) while we scrape.
+  engine.Drain();
 
   auto resp = Get(metrics.port(), "/metrics");
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();

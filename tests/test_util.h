@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -183,6 +186,31 @@ inline ::testing::AssertionResult BuffersEqual(const ByteBuffer& got,
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Copies `v`'s bytes to `dst + offset` — builds a padding-free image of a
+/// parameter struct for PrintObjectBytes.
+template <typename T>
+inline void PutBytes(unsigned char* dst, size_t offset, const T& v) {
+  std::memcpy(dst + offset, &v, sizeof(v));
+}
+
+/// Prints `n` bytes in gtest's default form for an unprintable object,
+/// "N-byte object <XX-XX XX-XX ...>". gtest_discover_tests names each case
+/// of a value-parameterised suite by that print, so a parameter struct with
+/// padding prints through here from an image whose padding is zero (see the
+/// PrintTo overloads of the sweep tests): printed directly, the padding
+/// carries leftover stack bytes and the case ids change from build to build.
+inline void PrintObjectBytes(const unsigned char* bytes, size_t n,
+                             std::ostream* os) {
+  *os << n << "-byte object <";
+  char hex[3];
+  for (size_t i = 0; i < n; ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    std::snprintf(hex, sizeof(hex), "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
 }
 
 }  // namespace saber::testing
