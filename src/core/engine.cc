@@ -20,20 +20,37 @@ namespace {
 constexpr int kEmpty = 0;
 constexpr int kStored = 1;
 
-/// Bucket bounds for saber_task_latency_nanos: 100 µs .. 5 s, roughly
-/// 1-2.5-5 per decade. The precise per-query percentiles stay with the
-/// log-linear LatencyHistogram (QueryHandle::latency()); this fixed-bucket
-/// copy is the exposition surface a scraper can aggregate across queries.
-std::vector<int64_t> TaskLatencyBounds() {
-  return {100'000,     250'000,     500'000,       1'000'000,
-          2'500'000,   5'000'000,   10'000'000,    25'000'000,
-          50'000'000,  100'000'000, 250'000'000,   500'000'000,
-          1'000'000'000, 2'500'000'000, 5'000'000'000};
+/// Operator nodes of `expr`, counted with an explicit worklist (no
+/// recursion) and abandoned once past `limit`.
+int CountOperators(const Expression& expr, int limit) {
+  int operators = 0;
+  std::vector<const Expression*> pending = {&expr};
+  while (!pending.empty() && operators <= limit) {
+    const Expression* e = pending.back();
+    pending.pop_back();
+    if (e->kind() == Expression::Kind::kArith) {
+      const auto* a = static_cast<const ArithExpr*>(e);
+      pending.insert(pending.end(), {a->lhs().get(), a->rhs().get()});
+    } else if (e->kind() == Expression::Kind::kCompare) {
+      const auto* c = static_cast<const CompareExpr*>(e);
+      pending.insert(pending.end(), {c->lhs().get(), c->rhs().get()});
+    } else if (e->kind() == Expression::Kind::kLogical) {
+      for (const ExprPtr& o : static_cast<const LogicalExpr*>(e)->operands()) {
+        pending.push_back(o.get());
+      }
+    } else {
+      continue;  // a column or literal
+    }
+    ++operators;
+  }
+  return operators;
 }
 
-/// Rejects any expression whose compiled program would need more than
-/// CompiledExpr::kMaxStack stack slots (Compile aborts on those). SQL can
-/// nest arbitrarily deep, and so can a hand-built QueryDef.
+/// Rejects any expression with more than kMaxExpressionOperators operators
+/// (StackDepth, Compile and the tree's own evaluation recurse over its
+/// height), then any whose compiled program would need more than
+/// CompiledExpr::kMaxStack stack slots (Compile aborts on those). SQL is
+/// bounded by the parser; a hand-built QueryDef is bounded only here.
 Status ValidateStackDepth(const QueryDef& def) {
   std::vector<std::pair<const char*, const Expression*>> exprs = {
       {"WHERE", def.where.get()}, {"join predicate", def.join_predicate.get()}};
@@ -45,6 +62,12 @@ Status ValidateStackDepth(const QueryDef& def) {
   }
   for (const auto& [clause, e] : exprs) {
     if (e == nullptr) continue;
+    if (CountOperators(*e, kMaxExpressionOperators) > kMaxExpressionOperators) {
+      return Status::InvalidArgument(StrCat(
+          "query '", def.name, "' has a ", clause,
+          " expression with more than kMaxExpressionOperators=",
+          kMaxExpressionOperators, " operators"));
+    }
     const size_t depth = CompiledExpr::StackDepth(*e);
     if (depth > CompiledExpr::kMaxStack) {
       return Status::InvalidArgument(StrCat(
@@ -144,9 +167,9 @@ struct QueryState {
   obs::Counter rows_out;
   obs::Counter tasks_on[kNumProcessors];
   obs::Counter bytes_on[kNumProcessors];
-  LatencyHistogram latency;
-  /// Fixed-bucket exposition twin of `latency` (see TaskLatencyBounds).
-  obs::Histogram latency_hist{TaskLatencyBounds()};
+  /// End-to-end task latencies: QueryHandle::latency(), the
+  /// saber_task_latency_nanos series and the controller's interval p99.
+  obs::Histogram latency;
   /// Wall clock of the newest insert (any input); the trace span's insert
   /// stage start. Only stamped while tracing is armed.
   std::atomic<int64_t> last_insert_nanos{0};
@@ -218,7 +241,7 @@ int64_t QueryHandle::bytes_on(Processor p) const {
 obs::Labels QueryHandle::metric_labels() const {
   return QueryMetricLabels(*qs_);
 }
-const LatencyHistogram& QueryHandle::latency() const { return qs_->latency; }
+const obs::Histogram& QueryHandle::latency() const { return qs_->latency; }
 size_t QueryHandle::current_task_size() const {
   return qs_->controller->phi();
 }
@@ -403,7 +426,8 @@ Result<QueryHandle*> Engine::TryAddQuery(QueryDef def) {
         if (matrix_ == nullptr) return 0.0;
         return std::max(matrix_->RateIfPublished(index, Processor::kCpu),
                         matrix_->RateIfPublished(index, Processor::kGpu));
-      });
+      },
+      /*clock=*/nullptr, &qs->latency);
   qs->cpu_op = MakeCpuOperator(&qs->def);
   if (device_ != nullptr) {
     qs->gpu_op = MakeGpuOperator(&qs->def, device_.get());
@@ -458,7 +482,7 @@ void Engine::RegisterQueryMetricsLocked(QueryState& qs) {
                               "Task input bytes executed per processor");
   }
   metrics_->RegisterHistogram(
-      "saber_task_latency_nanos", labels, &qs.latency_hist, this,
+      "saber_task_latency_nanos", labels, &qs.latency, this,
       "End-to-end task latency (dispatch to output emission)");
   qs.controller->RegisterMetrics(metrics_, labels, this);
 }
@@ -1395,8 +1419,7 @@ void Engine::TryAssemble(QueryState& qs) {
         }
       }
       const int64_t task_latency = NowNanos() - result->dispatched_nanos;
-      qs.latency.RecordNanos(task_latency);
-      qs.latency_hist.Record(task_latency);
+      qs.latency.Record(task_latency);
       qs.controller->Observe(task_latency);
       if (task->traced && trace_ != nullptr) {
         obs::TaskSpan span;

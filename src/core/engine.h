@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/circular_buffer.h"
-#include "runtime/histogram.h"
 #include "runtime/object_pool.h"
 
 /// \file engine.h
@@ -225,7 +224,7 @@ class QueryHandle {
   int64_t tasks_on(Processor p) const;
   int64_t bytes_on(Processor p) const;
   /// End-to-end task latency: dispatch -> output emission.
-  const LatencyHistogram& latency() const;
+  const obs::Histogram& latency() const;
   /// Labels identifying this query's registry series: {query=<name or
   /// q<index>>, slot=<index>}. The slot disambiguates same-named live
   /// queries; a recycled slot restarts its series (a counter reset on the

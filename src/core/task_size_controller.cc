@@ -18,7 +18,8 @@ size_t RoundDownToTuple(size_t bytes, size_t tuple_size) {
 
 TaskSizeController::TaskSizeController(const TaskSizeControllerOptions& options,
                                        size_t max_task_size, size_t tuple_size,
-                                       RateFn rate, ClockFn clock)
+                                       RateFn rate, ClockFn clock,
+                                       const obs::Histogram* latency)
     : options_(options),
       max_task_size_(RoundDownToTuple(max_task_size, tuple_size)),
       // A floor above the ceiling (e.g. --min-task-size past --task-size)
@@ -30,7 +31,9 @@ TaskSizeController::TaskSizeController(const TaskSizeControllerOptions& options,
       tuple_size_(tuple_size),
       rate_(std::move(rate)),
       clock_(clock ? std::move(clock) : ClockFn(&NowNanos)),
-      phi_(RoundDownToTuple(max_task_size, tuple_size)) {
+      phi_(RoundDownToTuple(max_task_size, tuple_size)),
+      latency_(latency),
+      interval_start_(obs::Histogram::kBuckets) {
   if (options_.initial_task_size != 0 &&
       options_.policy != TaskSizePolicy::kFixedPhi) {
     phi_.store(RoundDownToTuple(std::clamp(options_.initial_task_size,
@@ -49,7 +52,6 @@ void TaskSizeController::Observe(int64_t latency_nanos) {
   observations_.Increment();
   if (options_.policy == TaskSizePolicy::kFixedPhi) return;
 
-  interval_latency_.RecordNanos(latency_nanos);
   // Fold this observation into the interval maximum.
   int64_t seen = window_max_.load(std::memory_order_relaxed);
   while (latency_nanos > seen &&
@@ -68,9 +70,12 @@ void TaskSizeController::Observe(int64_t latency_nanos) {
   const int64_t window_max = window_max_.exchange(0);
   if (window_max == 0) return;  // no completions this interval
   last_window_max_nanos_.store(window_max, std::memory_order_relaxed);
-  last_p99_nanos_.store(interval_latency_.PercentileNanos(99),
-                        std::memory_order_relaxed);
-  interval_latency_.Reset();
+  if (latency_ != nullptr) {
+    last_p99_nanos_.store(
+        std::min(latency_->WindowPercentileNanos(99, &interval_start_),
+                 window_max),
+        std::memory_order_relaxed);
+  }
   Adjust(window_max);
 }
 

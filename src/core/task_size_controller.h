@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "obs/metrics.h"
-#include "runtime/histogram.h"
 
 /// \file task_size_controller.h
 /// Adaptive task sizing as a first-class, per-query controller (extension;
@@ -31,9 +30,9 @@
 ///
 /// Threading: `Observe` is invoked from the result stage while the caller
 /// holds the per-query assembly token, so observations are serialized (but
-/// arrive from different worker threads — all mutable state is atomic or
-/// inside the atomic-bucket interval histogram). `phi()` and `Stats()` are
-/// safe to call from any thread at any time.
+/// arrive from different worker threads — all mutable state read elsewhere
+/// is atomic). `phi()` and `Stats()` are safe to call from any thread at
+/// any time.
 ///
 /// The clock is injected so convergence is unit-testable without wall-time
 /// sleeps (see tests/core/task_size_controller_test.cc); the engine passes
@@ -116,10 +115,13 @@ class TaskSizeController {
   /// `tuple_size` is the query's input-stream tuple size — every φ the
   /// controller publishes is a non-zero multiple of it. A null `clock`
   /// falls back to the monotonic wall clock; a null `rate` pins the
-  /// throughput guard open (no rate data, no clamping).
+  /// throughput guard open (no rate data, no clamping). `latency` is the
+  /// query's task-latency histogram, recorded into before each Observe; the
+  /// controller only reads it, for `last_p99_nanos` (0 when null).
   TaskSizeController(const TaskSizeControllerOptions& options,
                      size_t max_task_size, size_t tuple_size,
-                     RateFn rate = nullptr, ClockFn clock = nullptr);
+                     RateFn rate = nullptr, ClockFn clock = nullptr,
+                     const obs::Histogram* latency = nullptr);
 
   TaskSizeController(const TaskSizeController&) = delete;
   TaskSizeController& operator=(const TaskSizeController&) = delete;
@@ -167,10 +169,16 @@ class TaskSizeController {
   std::atomic<size_t> phi_;
   std::atomic<int64_t> window_max_{0};
   std::atomic<int64_t> last_adjust_nanos_{0};
-  /// Latencies of the open interval; reset when the interval closes. Only
-  /// used to report `last_p99_nanos` — decisions use the interval maximum,
-  /// preserving the original engine behavior.
-  LatencyHistogram interval_latency_;
+  /// `latency_`'s bucket counts at the last interval close: the p99 of what
+  /// was recorded since is `last_p99_nanos`. Only reported — decisions use
+  /// the interval maximum, preserving the original engine behavior.
+  const obs::Histogram* const latency_;
+  /// Sized at construction (5.6 KiB, like the interval histogram it
+  /// replaced), not at the first interval close: deferring the allocation
+  /// moves the operators the engine allocates next, and that slowed
+  /// hybrid_two_query's simulated-GPGPU execution by ~40% (perfbench on a
+  /// four-core host; a heap-placement effect whose cause is not located).
+  obs::Histogram::Counts interval_start_;
 
   /// Monotone counters double as the metrics-registry series for this
   /// controller (registered by RegisterMetrics); Stats() reads the same

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "runtime/status.h"
@@ -8,34 +9,74 @@
 
 namespace saber::obs {
 
-Histogram::Histogram(std::vector<int64_t> bounds)
-    : bounds_(std::move(bounds)),
-      counts_(new std::atomic<int64_t>[bounds_.size() + 1]) {
-  SABER_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
-  for (size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0);
-}
-
 int64_t Histogram::count() const {
   int64_t total = 0;
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    total += counts_[i].load(std::memory_order_relaxed);
-  }
+  for (size_t i = 0; i < kBuckets; ++i) total += bucket_count(i);
   return total;
 }
 
+int64_t Histogram::PercentileNanos(double p) const {
+  Counts none;
+  return std::min(WindowPercentileNanos(p, &none), max_nanos());
+}
+
+int64_t Histogram::WindowPercentileNanos(double p, Counts* since) const {
+  since->resize(kBuckets);
+  Counts window(kBuckets);
+  int64_t total = 0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    const int64_t now = bucket_count(i);
+    window[i] = now - (*since)[i];
+    (*since)[i] = now;
+    total += window[i];
+  }
+  if (total == 0) return 0;
+  const int64_t rank = std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(p / 100.0 * static_cast<double>(total))));
+  int64_t seen = 0;
+  size_t i = 0;
+  while (i + 1 < kBuckets && (seen += window[i]) < rank) ++i;
+  return BucketUpperBound(i);
+}
+
+std::string Histogram::Summary() const {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "count=%lld mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus",
+                static_cast<long long>(count()), mean_nanos() / 1e3,
+                PercentileNanos(50) / 1e3, PercentileNanos(99) / 1e3,
+                max_nanos() / 1e3);
+  return buf;
+}
+
+int64_t Histogram::BucketUpperBound(size_t i) {
+  if (i < kSubBuckets) return static_cast<int64_t>(i);
+  // Inverse of BucketIndex: bucket (octave, sub) holds
+  // [(16 + sub) << (octave - 1), (16 + sub + 1) << (octave - 1)).
+  const size_t octave = i / kSubBuckets;
+  const size_t sub = i % kSubBuckets;
+  return static_cast<int64_t>(((kSubBuckets + sub + 1) << (octave - 1)) - 1);
+}
+
+const std::vector<int64_t>& Histogram::ExpositionBounds() {
+  static const std::vector<int64_t> bounds = [] {
+    std::vector<int64_t> b;
+    for (int k = 13; k <= 33; ++k) b.push_back((int64_t{1} << k) - 1);
+    return b;
+  }();
+  return bounds;
+}
+
 MetricsRegistry::Family* MetricsRegistry::GetFamilyLocked(
-    std::string_view name, MetricType type, std::string_view help,
-    const std::vector<int64_t>* bounds) {
+    std::string_view name, MetricType type, std::string_view help) {
   auto it = families_.find(name);
   if (it == families_.end()) {
     Family f;
     f.type = type;
     f.help = std::string(help);
-    if (bounds != nullptr) f.bounds = *bounds;
     it = families_.emplace(std::string(name), std::move(f)).first;
   } else {
     SABER_CHECK(it->second.type == type);  // name ↔ type is a global contract
-    if (bounds != nullptr) SABER_CHECK(it->second.bounds == *bounds);
     if (it->second.help.empty() && !help.empty()) {
       it->second.help = std::string(help);
     }
@@ -57,7 +98,7 @@ MetricsRegistry::Series* MetricsRegistry::GetSeriesLocked(Family* family,
 Counter* MetricsRegistry::GetCounter(std::string_view name, Labels labels,
                                      std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kCounter, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kCounter, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(s->ext_counter == nullptr);  // already an external view
   if (!s->counter) s->counter = std::make_unique<Counter>();
@@ -67,22 +108,11 @@ Counter* MetricsRegistry::GetCounter(std::string_view name, Labels labels,
 Gauge* MetricsRegistry::GetGauge(std::string_view name, Labels labels,
                                  std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kGauge, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kGauge, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(s->ext_gauge == nullptr);
   if (!s->gauge) s->gauge = std::make_unique<Gauge>();
   return s->gauge.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<int64_t> bounds,
-                                         Labels labels, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kHistogram, help, &bounds);
-  Series* s = GetSeriesLocked(f, std::move(labels));
-  SABER_CHECK(s->ext_histogram == nullptr);
-  if (!s->histogram) s->histogram = std::make_unique<Histogram>(bounds);
-  return s->histogram.get();
 }
 
 void MetricsRegistry::RegisterCounter(std::string_view name, Labels labels,
@@ -90,7 +120,7 @@ void MetricsRegistry::RegisterCounter(std::string_view name, Labels labels,
                                       std::string_view help) {
   SABER_CHECK(c != nullptr && owner != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kCounter, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kCounter, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(!s->counter);  // owned and external views must not collide
   s->ext_counter = c;
@@ -102,7 +132,7 @@ void MetricsRegistry::RegisterGauge(std::string_view name, Labels labels,
                                     std::string_view help) {
   SABER_CHECK(g != nullptr && owner != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kGauge, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kGauge, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(!s->gauge);
   s->ext_gauge = g;
@@ -114,10 +144,8 @@ void MetricsRegistry::RegisterHistogram(std::string_view name, Labels labels,
                                         std::string_view help) {
   SABER_CHECK(h != nullptr && owner != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f =
-      GetFamilyLocked(name, MetricType::kHistogram, help, &h->bounds());
+  Family* f = GetFamilyLocked(name, MetricType::kHistogram, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
-  SABER_CHECK(!s->histogram);
   s->ext_histogram = h;
   s->owner = owner;
 }
@@ -163,7 +191,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     fs.name = name;
     fs.help = family.help;
     fs.type = family.type;
-    fs.bounds = family.bounds;
+    if (family.type == MetricType::kHistogram) {
+      fs.bounds = Histogram::ExpositionBounds();
+    }
     fs.series.resize(family.series.size());
     // The single pass of the consistency contract: every atomic of this
     // family is loaded exactly once, back to back, with the labels copied
@@ -180,15 +210,17 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
           out.gauge_value = s.gauge ? s.gauge->value() : s.ext_gauge->value();
           break;
         case MetricType::kHistogram: {
-          const Histogram* h =
-              s.histogram ? s.histogram.get() : s.ext_histogram;
-          const size_t n = family.bounds.size() + 1;
-          out.bucket_counts.resize(n);
-          for (size_t b = 0; b < n; ++b) {
-            out.bucket_counts[b] = h->bucket_count(b);
+          // Each edge closes a layout bucket, so bucket b counts, exactly,
+          // under the first edge >= its upper bound.
+          out.bucket_counts.assign(fs.bounds.size() + 1, 0);
+          for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+            const int64_t c = s.ext_histogram->bucket_count(b);
+            out.bucket_counts[std::lower_bound(fs.bounds.begin(), fs.bounds.end(),
+                                               Histogram::BucketUpperBound(b)) -
+                              fs.bounds.begin()] += c;
+            out.count += c;
           }
-          out.sum = h->sum();
-          for (int64_t c : out.bucket_counts) out.count += c;
+          out.sum = s.ext_histogram->sum();
           break;
         }
       }

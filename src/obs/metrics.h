@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -16,7 +17,7 @@
 /// engine, ingestion stage, network front end, task-size controller and
 /// fault registry used to keep in ad-hoc per-subsystem structs.
 ///
-/// Instruments — counters, gauges, fixed-bucket histograms — are registered
+/// Instruments — counters, gauges, log-linear histograms — are registered
 /// by (name, labels) and live for the registry's lifetime; registration
 /// returns a stable pointer, so the hot path never touches the registry
 /// again. A counter increment compiles to a single relaxed atomic add on the
@@ -38,8 +39,8 @@
 /// only registration and other snapshots, never increments.
 ///
 /// Ownership comes in two flavours:
-///  - *Registry-owned* instruments (GetCounter & friends): live for the
-///    registry's lifetime, get-or-create by (name, labels).
+///  - *Registry-owned* counters and gauges (GetCounter, GetGauge): live for
+///    the registry's lifetime, get-or-create by (name, labels).
 ///  - *Externally-owned* instruments (RegisterCounter & friends): the
 ///    subsystem keeps the Counter/Gauge/Histogram as a plain value member —
 ///    its hot path and its per-component accessors read the very storage the
@@ -94,33 +95,68 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds in ascending
-/// order; one implicit +Inf bucket catches the rest. Record is two relaxed
-/// adds (bucket + sum); the count is derived from the buckets at snapshot
-/// time so it can never disagree with their total.
+/// Log-linear latency histogram: 16 linear sub-buckets per octave (a bucket
+/// is at most 1/16 of its values wide), O(1) `clz` indexing, 0 ns to ~4.8 h
+/// (negative values clamp to 0). It serves percentiles for the latency
+/// curves of Figs. 11 and 12 and the Prometheus exposition, whose `le`
+/// edges each close a bucket, so every cumulative `_bucket` count is exact.
+/// Record is three relaxed atomic operations; the count is the buckets'
+/// total, so it can never disagree with them.
 class Histogram {
  public:
-  explicit Histogram(std::vector<int64_t> bounds);
+  static constexpr int kSubBuckets = 16;
+  static constexpr int kOctaves = 44;
+  static constexpr size_t kBuckets = size_t{kOctaves} * kSubBuckets;
+  using Counts = std::vector<int64_t>;  // a plain copy of the buckets
 
-  void Record(int64_t value) {
-    size_t i = 0;
-    while (i < bounds_.size() && value > bounds_[i]) ++i;
-    counts_[i].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+  Histogram() : buckets_(kBuckets) {}
+
+  void Record(int64_t nanos) {
+    if (nanos < 0) nanos = 0;
+    buckets_[BucketIndex(static_cast<uint64_t>(nanos))].fetch_add(
+        1, std::memory_order_relaxed);
+    sum_.fetch_add(nanos, std::memory_order_relaxed);
+    int64_t prev = max_.load(std::memory_order_relaxed);
+    while (nanos > prev &&
+           !max_.compare_exchange_weak(prev, nanos, std::memory_order_relaxed)) {
+    }
   }
 
-  const std::vector<int64_t>& bounds() const { return bounds_; }
-  /// Non-cumulative count of bucket `i` (i == bounds().size() is +Inf).
-  int64_t bucket_count(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   int64_t count() const;
+  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  int64_t max_nanos() const { return max_.load(std::memory_order_relaxed); }
+  double mean_nanos() const {
+    const int64_t c = count();
+    return c == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(c);
+  }
+  /// Approximate value at percentile `p` in [0, 100], clamped to the
+  /// observed maximum (a bucket's bound can exceed every value in it).
+  int64_t PercentileNanos(double p) const;
+  /// Percentile `p` of the values recorded since `*since` (empty: since
+  /// construction), then advances `*since` to now. Unclamped.
+  int64_t WindowPercentileNanos(double p, Counts* since) const;
+  std::string Summary() const;  // count, mean, p50, p99, max
+
+  int64_t bucket_count(size_t i) const {
+    return buckets_[i].load(std::memory_order_relaxed);
+  }
+  static int64_t BucketUpperBound(size_t i);  // largest value bucket i holds
+  /// The exposition's `le` edges: 2^k - 1 ns for k in [13, 33] (8.2 µs ..
+  /// 8.6 s), the upper bounds of the last bucket of an octave.
+  static const std::vector<int64_t>& ExpositionBounds();
 
  private:
-  const std::vector<int64_t> bounds_;
-  std::unique_ptr<std::atomic<int64_t>[]> counts_;  // bounds_.size() + 1
+  static size_t BucketIndex(uint64_t v) {
+    if (v < kSubBuckets) return static_cast<size_t>(v);
+    const int msb = 63 - __builtin_clzll(v);
+    const uint64_t sub = (v >> (msb - 4)) & (kSubBuckets - 1);
+    return std::min(static_cast<size_t>(msb - 3) * kSubBuckets + sub,
+                    kBuckets - 1);
+  }
+
+  std::vector<std::atomic<int64_t>> buckets_;  // kBuckets of them
   std::atomic<int64_t> sum_{0};
+  std::atomic<int64_t> max_{0};
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };
@@ -139,7 +175,7 @@ struct FamilySnapshot {
   std::string name;
   std::string help;
   MetricType type = MetricType::kCounter;
-  std::vector<int64_t> bounds;  // histogram bucket upper bounds
+  std::vector<int64_t> bounds;  // histogram `le` edges (ExpositionBounds)
   std::vector<SeriesSnapshot> series;
 };
 
@@ -157,23 +193,21 @@ class MetricsRegistry {
 
   /// Get-or-create. The same (name, labels) always returns the same
   /// instrument pointer (stable for the registry's lifetime); re-registering
-  /// a name with a different metric type (or different histogram bounds)
-  /// aborts — metric names are a global contract, not per-caller state.
+  /// a name with a different metric type aborts — metric names are a
+  /// global contract, not per-caller state.
   /// Counter names end in `_total` by convention (the exposition linter
   /// enforces it).
   Counter* GetCounter(std::string_view name, Labels labels = {},
                       std::string_view help = "");
   Gauge* GetGauge(std::string_view name, Labels labels = {},
                   std::string_view help = "");
-  Histogram* GetHistogram(std::string_view name, std::vector<int64_t> bounds,
-                          Labels labels = {}, std::string_view help = "");
 
   /// Registers a view over an instrument owned by `owner` (a query state, an
   /// ingress shard, the network server). Same name↔type contract as the
   /// Get* family. Re-registering an existing (name, labels) repoints the
   /// series at the new instrument (slot-recycling ⇒ counter reset on the
   /// wire). `owner` must be non-null and must call Unregister(owner) before
-  /// the instrument is destroyed.
+  /// the instrument is destroyed. Histograms are only ever external.
   void RegisterCounter(std::string_view name, Labels labels, const Counter* c,
                        const void* owner, std::string_view help = "");
   void RegisterGauge(std::string_view name, Labels labels, const Gauge* g,
@@ -211,7 +245,6 @@ class MetricsRegistry {
     Labels labels;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     // External view (exactly one of owned/external is set per series).
     const Counter* ext_counter = nullptr;
     const Gauge* ext_gauge = nullptr;
@@ -221,7 +254,6 @@ class MetricsRegistry {
   struct Family {
     MetricType type = MetricType::kCounter;
     std::string help;
-    std::vector<int64_t> bounds;
     std::vector<Series> series;  // registration order; small, linear scans
   };
   struct CollectorEntry {
@@ -230,8 +262,7 @@ class MetricsRegistry {
   };
 
   Family* GetFamilyLocked(std::string_view name, MetricType type,
-                          std::string_view help,
-                          const std::vector<int64_t>* bounds);
+                          std::string_view help);
   Series* GetSeriesLocked(Family* family, Labels&& labels);
 
   mutable std::mutex mu_;

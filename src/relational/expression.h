@@ -24,6 +24,12 @@ namespace saber {
 class Expression;
 using ExprPtr = std::shared_ptr<const Expression>;
 
+/// Most operator nodes (arithmetic, comparison, boolean) one expression may
+/// hold. A tree is at most one level taller than its operator count, and
+/// compiling, evaluating and freeing it all recurse over that height: the
+/// SQL parser and query admission both refuse larger expressions.
+inline constexpr int kMaxExpressionOperators = 4096;
+
 enum class CompareOp { kLt, kLe, kEq, kNe, kGe, kGt };
 enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
 enum class LogicalOp { kAnd, kOr, kNot };

@@ -601,8 +601,6 @@ class Parser {
   /// programs stop at CompiledExpr::kMaxStack = 64 slots), far shallower
   /// than the parser's stack use would allow.
   static constexpr int kMaxNestingDepth = 128;
-  /// Bounds the tree height for the recursion downstream of the parser.
-  static constexpr int kMaxExpressionOperators = 4096;
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;

@@ -34,6 +34,16 @@ struct SweepCase {
   std::string label;
 };
 
+// Prints a case as gtest's byte dump would, from an image holding only the
+// operator and the window (padding and the label's heap pointer zeroed), so
+// its CTest id is the same in every run and every build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  unsigned char img[sizeof(SweepCase)] = {};
+  testing::PutBytes(img, offsetof(SweepCase, op), c.op);
+  testing::PutWindowBytes(img, offsetof(SweepCase, window), c.window);
+  testing::PrintObjectBytes(img, sizeof(img), os);
+}
+
 QueryDef MakeQuery(const SweepCase& c) {
   switch (c.op) {
     case OpFamily::kProjection:

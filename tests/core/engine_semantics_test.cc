@@ -146,6 +146,16 @@ struct NonInvertibleCase {
   const char* label;
 };
 
+// Prints a case as gtest's byte dump would, from an image holding only the
+// function and the window (padding and the label pointer zeroed), so its
+// CTest id is the same in every run and every build.
+void PrintTo(const NonInvertibleCase& c, std::ostream* os) {
+  unsigned char img[sizeof(NonInvertibleCase)] = {};
+  testing::PutBytes(img, offsetof(NonInvertibleCase, fn), c.fn);
+  testing::PutWindowBytes(img, offsetof(NonInvertibleCase, window), c.window);
+  testing::PrintObjectBytes(img, sizeof(img), os);
+}
+
 class NonInvertibleAggTest : public ::testing::TestWithParam<NonInvertibleCase> {};
 
 TEST_P(NonInvertibleAggTest, TwoStacksMatchesReferenceAndRemerge) {

@@ -294,6 +294,30 @@ TEST(Engine, LatencyIsRecorded) {
   EXPECT_GT(q->latency().mean_nanos(), 0.0);
 }
 
+TEST(Engine, LatencySeriesIsTheHandleHistogram) {
+  // One histogram per query: the saber_task_latency_nanos series counts
+  // exactly the tasks QueryHandle::latency() counts.
+  Schema s = SynSchema();
+  Engine engine(SmallOptions(2, false));
+  QueryHandle* q = engine.AddQuery(QueryBuilder("lat", s).Build());
+  engine.Start();
+  auto stream = RandomStream(s, 5000, 63);
+  q->Insert(stream.data(), stream.size());
+  engine.Drain();
+  const int64_t tasks = q->tasks_on(Processor::kCpu);
+  ASSERT_GT(tasks, 0);
+  EXPECT_EQ(q->latency().count(), tasks);
+  int64_t series_count = -1;
+  for (const obs::FamilySnapshot& f : engine.metrics()->Snapshot().families) {
+    if (f.name != "saber_task_latency_nanos") continue;
+    for (const obs::SeriesSnapshot& series : f.series) {
+      if (series.labels == q->metric_labels()) series_count = series.count;
+    }
+  }
+  EXPECT_EQ(series_count, q->latency().count());
+  engine.Stop();
+}
+
 TEST(Engine, DrainWithNoDataIsClean) {
   Schema s = SynSchema();
   Engine engine(SmallOptions(2, true));

@@ -3,10 +3,10 @@
 #include "core/engine.h"
 #include "core/query.h"
 
-/// Operator-limit validation (kMaxAggregatesPerQuery / kMaxGroupKeyBytes):
-/// misuse must fail at query-build time with a clear Status — or, for
-/// hand-assembled QueryDefs, abort at Engine::AddQuery with the limit named
-/// in the message — never mid-task on a worker thread.
+/// Operator-limit validation (kMaxAggregatesPerQuery / kMaxGroupKeyBytes /
+/// kMaxExpressionOperators): misuse must fail at query-build time with a
+/// clear Status — or, for hand-assembled QueryDefs, at Engine admission with
+/// the limit named in the message — never mid-task on a worker thread.
 ///
 /// Lifecycle-misuse validation rides along: TryAddQuery / RemoveQuery /
 /// SetSink turn every caller mistake (capacity exhausted, foreign handle,
@@ -80,6 +80,53 @@ EngineOptions TinyEngine(size_t max_queries) {
   o.use_gpu = false;
   o.max_queries = max_queries;
   return o;
+}
+
+/// `n` additions chained left-leaning onto column v: `((v + 1) + 1) ...`,
+/// one node per element (the root last). Only two stack slots deep at any
+/// length, but `n` levels tall.
+std::vector<ExprPtr> LeftLeaningChain(int n) {
+  Schema s = TestSchema();
+  std::vector<ExprPtr> chain = {Col(s, "v")};
+  for (int i = 0; i < n; ++i) chain.push_back(Add(chain.back(), Lit(1)));
+  return chain;
+}
+
+/// Admits a projection of `expr` on a fresh engine.
+Status AdmitProjection(ExprPtr expr) {
+  QueryBuilder b("chain", TestSchema());
+  b.Window(WindowDefinition::Count(4, 4)).Select(std::move(expr), "c");
+  Result<QueryDef> def = b.TryBuild();
+  if (!def.ok()) return def.status();
+  EngineOptions o;
+  o.num_cpu_workers = 1;
+  o.use_gpu = false;
+  Engine engine(o);
+  return engine.TryAddQuery(std::move(def).value()).status();
+}
+
+/// Expression destructors recurse once per level. Releasing the root first,
+/// while `chain` still holds every node, frees one level at a time.
+void ReleaseRootFirst(std::vector<ExprPtr>* chain) {
+  while (!chain->empty()) chain->pop_back();
+}
+
+TEST(QueryLimitsTest, MaxExpressionOperatorsAcceptedAtTheBoundary) {
+  std::vector<ExprPtr> chain = LeftLeaningChain(kMaxExpressionOperators);
+  const Status st = AdmitProjection(chain.back());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  ReleaseRootFirst(&chain);
+}
+
+TEST(QueryLimitsTest, TallHandBuiltExpressionIsInvalidArgument) {
+  // The stack-depth check alone admits this chain (depth 2); compiling it
+  // would then recurse 100 000 levels and overflow the stack.
+  std::vector<ExprPtr> chain = LeftLeaningChain(100'000);
+  const Status st = AdmitProjection(chain.back());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("kMaxExpressionOperators"), std::string::npos)
+      << st.ToString();
+  ReleaseRootFirst(&chain);
 }
 
 TEST(QueryLifecycleStatusTest, AdmissionBeyondCapacityIsResourceExhausted) {

@@ -195,21 +195,53 @@ TEST(TaskSizeController, GuardWithoutRateDataActsLikeAimd) {
   EXPECT_EQ(c.phi(), size_t{1} << 18);  // unguarded /4
 }
 
+/// Records `latency` into the query histogram, then feeds it to the
+/// controller, in the engine's order.
+void Complete(obs::Histogram& h, TaskSizeController& c, int64_t latency) {
+  h.Record(latency);
+  c.Observe(latency);
+}
+
 TEST(TaskSizeController, StatsReportLastClosedInterval) {
   int64_t now = 0;
+  obs::Histogram latency;
   TaskSizeController c(AimdOptions(), 1 << 20, kTuple, nullptr,
-                       [&now] { return now; });
-  c.Observe(4'000'000);
-  c.Observe(9'000'000);
+                       [&now] { return now; }, &latency);
+  Complete(latency, c, 4'000'000);
+  Complete(latency, c, 9'000'000);
   now += kIntervalNanos + 1;
-  c.Observe(6'000'000);  // closes the interval: max 9 ms
+  Complete(latency, c, 6'000'000);  // closes the interval: max 9 ms
   const ControllerStats stats = c.Stats();
   EXPECT_EQ(stats.last_window_max_nanos, 9'000'000);
-  // The interval histogram is log-linear: p99 lands in 9 ms's bucket and is
-  // clamped to the observed maximum.
+  // The histogram is log-linear: p99 lands in 9 ms's bucket and is clamped
+  // to the interval maximum.
   EXPECT_GT(stats.last_p99_nanos, 8'000'000);
   EXPECT_LE(stats.last_p99_nanos, 9'000'000);
   EXPECT_EQ(stats.observations, 3);
+}
+
+TEST(TaskSizeController, IntervalP99ExcludesEarlierIntervals) {
+  int64_t now = 0;
+  obs::Histogram latency;
+  TaskSizeController c(AimdOptions(), 1 << 20, kTuple, nullptr,
+                       [&now] { return now; }, &latency);
+  // A long first interval of ~1 ms tasks...
+  for (int i = 0; i < 2000; ++i) Complete(latency, c, 1'000'000 + i);
+  now += kIntervalNanos + 1;
+  Complete(latency, c, 1'000'000);  // closes it
+  EXPECT_LT(c.Stats().last_p99_nanos, 1'100'000);
+  // ...then a short one of ~9 ms tasks. Over the query's lifetime these are
+  // under 1% of the values, so a p99 that did not subtract the first
+  // interval would still report ~1 ms.
+  for (int i = 0; i < 10; ++i) Complete(latency, c, 9'000'000 + i);
+  now += kIntervalNanos + 1;
+  Complete(latency, c, 9'000'000);  // closes it
+  const ControllerStats stats = c.Stats();
+  EXPECT_EQ(stats.last_window_max_nanos, 9'000'009);
+  EXPECT_GT(stats.last_p99_nanos, 8'000'000);
+  EXPECT_LE(stats.last_p99_nanos, 9'000'009);
+  EXPECT_GT(latency.PercentileNanos(50), 900'000) << "lifetime view kept";
+  EXPECT_LT(latency.PercentileNanos(50), 1'100'000);
 }
 
 TEST(TaskSizeController, FloorAboveCeilingIsCappedAtCeiling) {

@@ -74,52 +74,72 @@ TEST(MetricsRegistry, ConcurrentIncrementsAreExact) {
 }
 
 TEST(MetricsRegistry, HistogramBucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({10, 20});
-  h.Record(-5);  // below everything -> first bucket
-  h.Record(10);  // boundary is inclusive
-  h.Record(11);
-  h.Record(20);
-  h.Record(21);  // past the last bound -> +Inf bucket
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(1), 2);
-  EXPECT_EQ(h.bucket_count(2), 1);
+  // The exposition edges are inclusive: a value on an edge counts under it,
+  // one past it under the next edge.
+  const std::vector<int64_t>& edges = Histogram::ExpositionBounds();
+  Histogram h;
+  h.Record(-5);        // clamps to 0 -> first bucket
+  h.Record(edges[0]);  // the edge is inclusive
+  h.Record(edges[0] + 1);
+  h.Record(edges[1]);
+  h.Record(edges.back() + 1);  // past the last edge -> +Inf bucket
+  MetricsRegistry reg;
+  const int owner = 0;
+  reg.RegisterHistogram("saber_test_lat_nanos", {}, &h, &owner);
+  const MetricsSnapshot snap = reg.Snapshot();
+  ASSERT_EQ(snap.families.size(), 1u);
+  const FamilySnapshot& f = snap.families[0];
+  EXPECT_EQ(f.bounds, edges);
+  ASSERT_EQ(f.series.size(), 1u);
+  const SeriesSnapshot& s = f.series[0];
+  ASSERT_EQ(s.bucket_counts.size(), edges.size() + 1);
+  EXPECT_EQ(s.bucket_counts[0], 2);
+  EXPECT_EQ(s.bucket_counts[1], 2);
+  EXPECT_EQ(s.bucket_counts.back(), 1);
+  EXPECT_EQ(s.count, 5);
+  EXPECT_EQ(s.sum, 0 + edges[0] + edges[0] + 1 + edges[1] + edges.back() + 1);
   EXPECT_EQ(h.count(), 5);
-  EXPECT_EQ(h.sum(), -5 + 10 + 11 + 20 + 21);
+  reg.Unregister(&owner);
 }
 
 TEST(MetricsRegistry, HistogramFamilyRejectsNothingAndSnapshotsCumulate) {
   MetricsRegistry reg;
-  Histogram* h =
-      reg.GetHistogram("saber_test_lat_nanos", {100, 1000}, {{"q", "0"}});
-  h->Record(50);
-  h->Record(500);
-  h->Record(5000);
+  const int owner = 0;
+  Histogram h;
+  reg.RegisterHistogram("saber_test_lat_nanos", {{"q", "0"}}, &h, &owner);
+  h.Record(50);
+  h.Record(500'000);
+  h.Record(50'000'000'000);  // 50 s: past the last edge
   const MetricsSnapshot snap = reg.Snapshot();
   ASSERT_EQ(snap.families.size(), 1u);
   const FamilySnapshot& f = snap.families[0];
   EXPECT_EQ(f.type, MetricType::kHistogram);
   ASSERT_EQ(f.series.size(), 1u);
   EXPECT_EQ(f.series[0].count, 3);
-  EXPECT_EQ(f.series[0].sum, 5550);
-  ASSERT_EQ(f.series[0].bucket_counts.size(), 3u);
-  EXPECT_EQ(f.series[0].bucket_counts[0], 1);
-  EXPECT_EQ(f.series[0].bucket_counts[1], 1);
-  EXPECT_EQ(f.series[0].bucket_counts[2], 1);
+  EXPECT_EQ(f.series[0].sum, 50'000'500'050);
 
-  // The text exposition renders cumulative buckets plus _sum/_count.
+  // The text exposition renders cumulative buckets plus _sum/_count: 50 ns
+  // is under every edge, 500 us under 2^19 - 1 and above 2^18 - 1, 50 s
+  // only under +Inf.
   const std::string text = RenderPrometheusText(snap);
   EXPECT_NE(text.find("# TYPE saber_test_lat_nanos histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"100\"} 1"),
+  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"8191\"} 1"),
             std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"1000\"} 2"),
+  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"262143\"} 1"),
             std::string::npos);
+  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"524287\"} 2"),
+            std::string::npos);
+  EXPECT_NE(
+      text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"8589934591\"} 2"),
+      std::string::npos);
   EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"+Inf\"} 3"),
             std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_sum{q=\"0\"} 5550"),
+  EXPECT_NE(text.find("saber_test_lat_nanos_sum{q=\"0\"} 50000500050"),
             std::string::npos);
   EXPECT_NE(text.find("saber_test_lat_nanos_count{q=\"0\"} 3"),
             std::string::npos);
+  reg.Unregister(&owner);
 }
 
 TEST(MetricsRegistry, ExternalInstrumentRegisterUnregisterRepoint) {

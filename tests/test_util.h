@@ -195,6 +195,15 @@ inline void PutBytes(unsigned char* dst, size_t offset, const T& v) {
   std::memcpy(dst + offset, &v, sizeof(v));
 }
 
+/// Copies `w`'s fields to `dst + offset`, leaving its padding zero.
+inline void PutWindowBytes(unsigned char* dst, size_t offset,
+                           const WindowDefinition& w) {
+  PutBytes(dst, offset + offsetof(WindowDefinition, type), w.type);
+  PutBytes(dst, offset + offsetof(WindowDefinition, size), w.size);
+  PutBytes(dst, offset + offsetof(WindowDefinition, slide), w.slide);
+  PutBytes(dst, offset + offsetof(WindowDefinition, unbounded), w.unbounded);
+}
+
 /// Prints `n` bytes in gtest's default form for an unprintable object,
 /// "N-byte object <XX-XX XX-XX ...>". gtest_discover_tests names each case
 /// of a value-parameterised suite by that print, so a parameter struct with
